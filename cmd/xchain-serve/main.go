@@ -51,6 +51,10 @@ import (
 	"time"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or idle connection cannot hold a server goroutine.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	withPprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
@@ -72,7 +76,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "xchain-serve: listening on %s (max-runs=%d)\n", *addr, srv.opts.maxRuns)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -336,12 +337,31 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBody caps a POST /runs body. A run request is a few hundred
+// bytes of JSON, so the cap only ever stops a client that is not sending one.
+const maxRequestBody = 1 << 20
+
 // handleStartRun validates the request, registers the run and launches it.
 func (s *server) handleStartRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// The body is exactly one JSON object: anything but whitespace after
+		// it is a malformed request, not something to ignore.
+		if _, tail := dec.Token(); tail == nil {
+			err = errors.New("unexpected data after the JSON object")
+		} else if tail != io.EOF {
+			err = tail
+		}
+	}
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -256,6 +256,43 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestServeRequestBodyBounds pins the POST /runs trust boundary: the body
+// must be exactly one JSON object, and a body over the size cap is refused
+// before it is read whole, even when the request inside it is valid.
+func TestServeRequestBodyBounds(t *testing.T) {
+	ts := httptest.NewServer(newServer(false))
+	defer ts.Close()
+
+	padding := strings.Repeat(" ", maxRequestBody)
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"trailing garbage", `{"escrows": 2, "payments": 10} trailing-garbage {"x":`, http.StatusBadRequest},
+		{"second object", `{"escrows": 2, "payments": 10} {"payments": 10}`, http.StatusBadRequest},
+		{"stray brace", `{"escrows": 2, "payments": 10}}`, http.StatusBadRequest},
+		{"oversize", `{"escrows": 2,` + padding + `"payments": 10}`, http.StatusRequestEntityTooLarge},
+		{"oversize tail", `{"escrows": 2, "payments": 10}` + padding, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: POST = %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, raw)
+		}
+	}
+	var list struct {
+		Runs []map[string]any `json:"runs"`
+	}
+	if code := get(t, ts, "/runs", &list); code != http.StatusOK || len(list.Runs) != 0 {
+		t.Fatalf("GET /runs = %d with %d runs; a refused body must start no run", code, len(list.Runs))
+	}
+}
+
 // TestServeBackpressure saturates a one-slot server: the second POST gets
 // 429 with Retry-After, the admission counters reach /metrics, and after
 // drain() further POSTs get 503 while the in-flight run reports

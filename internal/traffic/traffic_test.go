@@ -3,9 +3,11 @@ package traffic
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -652,5 +654,89 @@ func TestCryptoBackendValidation(t *testing.T) {
 	}
 	if _, err := RunWith(s, w, Config{Crypto: "hmac"}); err != nil {
 		t.Fatalf("Config.Crypto should override the scenario's backend: %v", err)
+	}
+}
+
+// TestSweepMetricsIsolation is the regression test for the shared-registry
+// seam: Sweep used to copy the Config per cell but share the one
+// cfg.Metrics pointer across concurrently running cells, so live gauges
+// fought each other and counters blurred the cells together. Each cell must
+// get its own labelled registry whose counters match that cell's Result
+// exactly.
+func TestSweepMetricsIsolation(t *testing.T) {
+	w := NewWorkload(120)
+	w.Arrival.Rate = 600
+	points := []Point{
+		{Label: "a", Scenario: core.NewScenario(4, 1), Workload: w},
+		{Label: "b", Scenario: core.NewScenario(6, 2), Workload: w},
+	}
+	outcomes := Sweep(points, Config{Workers: 2, Metrics: metrics.NewRegistry()})
+	if outcomes[0].Metrics == nil || outcomes[1].Metrics == nil {
+		t.Fatal("sweep cells did not receive private registries")
+	}
+	if outcomes[0].Metrics == outcomes[1].Metrics {
+		t.Fatal("concurrent sweep cells share one registry")
+	}
+	for _, o := range outcomes {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		snap := o.Metrics.Snapshot()
+		counters := map[string]float64{}
+		cellLabelled := false
+		for _, fam := range snap {
+			for _, sample := range fam.Samples {
+				counters[fam.Name] += sample.Value
+				if strings.Contains(sample.Labels, `cell="`+o.Point.Label+`"`) {
+					cellLabelled = true
+				}
+			}
+		}
+		if !cellLabelled {
+			t.Fatalf("cell %q: no sample carries its cell label", o.Point.Label)
+		}
+		if got, want := counters[MetricPaymentsGenerated], float64(o.Result.Total); got != want {
+			t.Fatalf("cell %q: generated counter %v, want %v (cross-cell bleed?)", o.Point.Label, got, want)
+		}
+		if got, want := counters[MetricPaymentsSettled], float64(o.Result.Succeeded); got != want {
+			t.Fatalf("cell %q: settled counter %v, want %v (cross-cell bleed?)", o.Point.Label, got, want)
+		}
+	}
+}
+
+// TestQueueExpiryAttribution pins the queue-expiry drop path. The issue
+// suspected drainQueue of only attributing Queued/QueueWait on re-admission
+// so that expired-after-queueing payments would report Queued=false; the
+// audit found the expiry timer already sets Queued, QueueWait and DropCause
+// before finishing the payment (drainQueue handles re-admitted payments
+// only — a dropped payment never reaches it). This test keeps that
+// attribution from regressing: every dropped payment in a starved honest
+// run must carry its full queueing history.
+func TestQueueExpiryAttribution(t *testing.T) {
+	s := core.NewScenario(3, 11)
+	w := NewWorkload(200)
+	w.Arrival.Rate = 2000
+	w = w.WithLiquidity(300).WithQueue(500*sim.Millisecond, 0)
+
+	res, err := Run(s, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dropped == 0 {
+		t.Fatalf("starved workload dropped nothing:\n%s", res)
+	}
+	for _, p := range res.Payments {
+		if p.Status != StatusDropped {
+			continue
+		}
+		if !p.Queued {
+			t.Fatalf("expired payment %s not marked Queued: %+v", p.ID, p)
+		}
+		if p.QueueWait <= 0 || p.QueueWait != p.End-p.Arrival {
+			t.Fatalf("expired payment %s has inconsistent QueueWait: %+v", p.ID, p)
+		}
+		if p.DropCause != CauseCapacity {
+			t.Fatalf("honest expiry misattributed to %q: %+v", p.DropCause, p)
+		}
 	}
 }
