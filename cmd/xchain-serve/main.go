@@ -24,7 +24,9 @@
 // Endpoints:
 //
 //	POST /runs        start a traffic run (JSON body, see runRequest);
-//	                  responds 202 with the run's id and links, 429 when
+//	                  responds 202 with the run's id and links, 400 for a
+//	                  request over the caps (escrows > 256, workers > 64,
+//	                  payments > 100000 unless streaming), 429 when
 //	                  saturated, 503 while draining
 //	GET  /runs        list runs, newest first
 //	GET  /runs/{id}   one run's live progress (counters while running,

@@ -90,6 +90,30 @@ func (q *runRequest) normalize() {
 	}
 }
 
+// Request caps. Each bounds what one request can make the server hold: a
+// materialised run keeps its whole payment population in memory, while a
+// streaming run holds a bounded window of it, so only non-streaming runs
+// cap payments. They are constants, not flags: a request above them is a
+// client error whatever the deployment.
+const (
+	maxEscrows              = 256
+	maxMaterialisedPayments = 100_000
+	maxWorkers              = 64
+)
+
+// checkCaps rejects a normalized request that exceeds the request caps.
+func (q runRequest) checkCaps() error {
+	switch {
+	case q.Escrows < 1 || q.Escrows > maxEscrows:
+		return fmt.Errorf("escrows %d out of range 1..%d", q.Escrows, maxEscrows)
+	case !q.Stream && q.Payments > maxMaterialisedPayments:
+		return fmt.Errorf("payments %d exceed %d for a non-streaming run; set \"stream\": true for larger runs", q.Payments, maxMaterialisedPayments)
+	case q.Workers > maxWorkers:
+		return fmt.Errorf("workers %d exceed %d", q.Workers, maxWorkers)
+	}
+	return nil
+}
+
 // build translates the request into the engine's inputs.
 func (q runRequest) build() (core.Scenario, traffic.Workload, traffic.Config, error) {
 	s := core.NewScenario(q.Escrows, q.Seed)
@@ -366,6 +390,10 @@ func (s *server) handleStartRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.normalize()
+	if err := req.checkCaps(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	scn, wl, cfg, err := req.build()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

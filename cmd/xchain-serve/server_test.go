@@ -293,6 +293,54 @@ func TestServeRequestBodyBounds(t *testing.T) {
 	}
 }
 
+// TestServeRequestCaps pins the request caps: a request above any of them
+// is refused with 400 and a message naming the field, and no run starts.
+func TestServeRequestCaps(t *testing.T) {
+	ts := httptest.NewServer(newServer(false))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name, body, field string
+	}{
+		{"escrows above cap", fmt.Sprintf(`{"escrows": %d, "payments": 10}`, maxEscrows+1), "escrows"},
+		{"negative escrows", `{"escrows": -3, "payments": 10}`, "escrows"},
+		{"materialised payments above cap", fmt.Sprintf(`{"escrows": 2, "payments": %d}`, maxMaterialisedPayments+1), "payments"},
+		{"workers above cap", fmt.Sprintf(`{"escrows": 2, "payments": 10, "workers": %d}`, maxWorkers+1), "workers"},
+		{"streamed escrows above cap", fmt.Sprintf(`{"escrows": %d, "payments": 10, "stream": true}`, maxEscrows+1), "escrows"},
+	} {
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var v struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("%s: bad error body %q: %v", tc.name, raw, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(v.Error, tc.field) {
+			t.Errorf("%s: POST = %d %q, want 400 naming %q", tc.name, resp.StatusCode, v.Error, tc.field)
+		}
+	}
+	var list struct {
+		Runs []map[string]any `json:"runs"`
+	}
+	if code := get(t, ts, "/runs", &list); code != http.StatusOK || len(list.Runs) != 0 {
+		t.Fatalf("GET /runs = %d with %d runs; a request over the caps must start no run", code, len(list.Runs))
+	}
+	// Requests at the caps pass, and streaming lifts the payments cap.
+	atCaps := runRequest{Escrows: maxEscrows, Payments: maxMaterialisedPayments + 1, Stream: true, Workers: maxWorkers}
+	if err := atCaps.checkCaps(); err != nil {
+		t.Fatalf("streaming request at the caps refused: %v", err)
+	}
+	atCaps.Stream, atCaps.Payments = false, maxMaterialisedPayments
+	if err := atCaps.checkCaps(); err != nil {
+		t.Fatalf("materialised request at the caps refused: %v", err)
+	}
+}
+
 // TestServeBackpressure saturates a one-slot server: the second POST gets
 // 429 with Retry-After, the admission counters reach /metrics, and after
 // drain() further POSTs get 503 while the in-flight run reports

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/clock"
 	"repro/internal/ledger"
@@ -36,14 +37,45 @@ const (
 	RoleNotary    Role = "notary"
 )
 
+// idTableLen is how many IDs of each kind are formatted once, at package
+// init: every protocol sub-run looks its participants' IDs up, so chains
+// and committees up to this size never format an ID again.
+const idTableLen = 1024
+
+// The ID tables. They are shared by every goroutine and handed out as
+// read-only views (Topology.Customers, Topology.Escrows), so nothing may
+// ever write to them after init.
+var (
+	customerIDs = idTable("c")
+	escrowIDs   = idTable("e")
+	notaryIDs   = idTable("notary")
+)
+
+// idTable formats prefix0..prefix{idTableLen-1}.
+func idTable(prefix string) []string {
+	out := make([]string, idTableLen)
+	for i := range out {
+		out[i] = prefix + strconv.Itoa(i)
+	}
+	return out
+}
+
+// idOf returns prefix+i from the table, formatting only past its end.
+func idOf(table []string, prefix string, i int) string {
+	if uint(i) < uint(len(table)) {
+		return table[i]
+	}
+	return prefix + strconv.Itoa(i)
+}
+
 // CustomerID returns the canonical ID of customer c_i.
-func CustomerID(i int) string { return fmt.Sprintf("c%d", i) }
+func CustomerID(i int) string { return idOf(customerIDs, "c", i) }
 
 // EscrowID returns the canonical ID of escrow e_i.
-func EscrowID(i int) string { return fmt.Sprintf("e%d", i) }
+func EscrowID(i int) string { return idOf(escrowIDs, "e", i) }
 
 // NotaryID returns the canonical ID of notary j in the manager committee.
-func NotaryID(j int) string { return fmt.Sprintf("notary%d", j) }
+func NotaryID(j int) string { return idOf(notaryIDs, "notary", j) }
 
 // ManagerID is the logical identity of the transaction manager (single
 // trusted party or committee) in the weak-liveness protocol.
@@ -52,6 +84,11 @@ const ManagerID = "manager"
 // Topology is the linear chain of Fig. 1: n escrows e0..e_{n-1} and n+1
 // customers c0..c_n, where customers c_{i} and c_{i+1} hold accounts at
 // escrow e_i and trust it. No other trust relations exist.
+//
+// The ID slices its methods return are read-only: Customers and Escrows
+// hand out views of tables shared by every run in the process. Their
+// capacity is clipped, so appending to one copies, but writing an element
+// would corrupt every other run.
 type Topology struct {
 	// N is the number of escrows (n >= 1). Alice is c0, Bob is c_N.
 	N int
@@ -72,16 +109,11 @@ func (t Topology) Alice() string { return CustomerID(0) }
 // Bob returns Bob's ID (c_n).
 func (t Topology) Bob() string { return CustomerID(t.N) }
 
-// Customers returns the IDs c0..c_n in order.
-func (t Topology) Customers() []string {
-	out := make([]string, 0, t.N+1)
-	for i := 0; i <= t.N; i++ {
-		out = append(out, CustomerID(i))
-	}
-	return out
-}
+// Customers returns the IDs c0..c_n in order. The slice is read-only.
+func (t Topology) Customers() []string { return idRange(customerIDs, "c", t.N+1) }
 
-// Connectors returns the IDs of the intermediaries c1..c_{n-1}.
+// Connectors returns the IDs of the intermediaries c1..c_{n-1}. The slice
+// is read-only.
 func (t Topology) Connectors() []string {
 	var out []string
 	for i := 1; i < t.N; i++ {
@@ -90,16 +122,23 @@ func (t Topology) Connectors() []string {
 	return out
 }
 
-// Escrows returns the IDs e0..e_{n-1} in order.
-func (t Topology) Escrows() []string {
-	out := make([]string, 0, t.N)
-	for i := 0; i < t.N; i++ {
-		out = append(out, EscrowID(i))
+// Escrows returns the IDs e0..e_{n-1} in order. The slice is read-only.
+func (t Topology) Escrows() []string { return idRange(escrowIDs, "e", t.N) }
+
+// idRange returns the IDs prefix0..prefix{n-1}: a capacity-clipped view of
+// the table when it is long enough, else a freshly formatted slice.
+func idRange(table []string, prefix string, n int) []string {
+	if n <= len(table) {
+		return table[:n:n]
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = idOf(table, prefix, i)
 	}
 	return out
 }
 
-// Participants returns all customers and escrows.
+// Participants returns all customers and escrows. The slice is read-only.
 func (t Topology) Participants() []string {
 	return append(t.Customers(), t.Escrows()...)
 }
@@ -139,9 +178,9 @@ func (t Topology) UpstreamCustomer(i int) string { return CustomerID(i) }
 // c_{i+1}.
 func (t Topology) DownstreamCustomer(i int) string { return CustomerID(i + 1) }
 
-// UpstreamEscrow returns customer c_i's upstream escrow e_{i-1} and whether
-// it exists (Alice has none... actually Alice's only escrow e0 is
-// downstream; Bob's only escrow e_{n-1} is upstream).
+// UpstreamEscrow returns customer c_i's upstream escrow e_{i-1}, the escrow
+// money reaches c_i through, and whether it exists. Alice (i = 0) has none:
+// her only escrow, e0, is downstream of her.
 func (t Topology) UpstreamEscrow(i int) (string, bool) {
 	if i <= 0 {
 		return "", false
@@ -344,7 +383,7 @@ func (s Scenario) DerivedKeySeed() string {
 	if s.KeySeed != "" {
 		return s.KeySeed
 	}
-	return fmt.Sprintf("seed-%d", s.Seed)
+	return "seed-" + strconv.FormatInt(s.Seed, 10)
 }
 
 // CustomerOutcome captures what happened to one customer by the end of a

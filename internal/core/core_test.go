@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -40,6 +41,74 @@ func TestTopology(t *testing.T) {
 	if e, ok := topo.DownstreamEscrow(2); !ok || e != "e2" {
 		t.Fatalf("downstream escrow of c2 = %s", e)
 	}
+}
+
+// TestIDsMatchFormatting pins the table-backed IDs to the formatting they
+// replace, inside the tables, past their end and for negative indices.
+func TestIDsMatchFormatting(t *testing.T) {
+	for i := -3; i < idTableLen+5; i++ {
+		if got, want := CustomerID(i), fmt.Sprintf("c%d", i); got != want {
+			t.Fatalf("CustomerID(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := EscrowID(i), fmt.Sprintf("e%d", i); got != want {
+			t.Fatalf("EscrowID(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := NotaryID(i), fmt.Sprintf("notary%d", i); got != want {
+			t.Fatalf("NotaryID(%d) = %q, want %q", i, got, want)
+		}
+	}
+	for _, n := range []int{1, 2, idTableLen - 1, idTableLen, idTableLen + 2} {
+		topo := NewTopology(n)
+		cs, es := topo.Customers(), topo.Escrows()
+		if len(cs) != n+1 || len(es) != n {
+			t.Fatalf("n=%d: %d customers, %d escrows", n, len(cs), len(es))
+		}
+		for i, id := range cs {
+			if id != fmt.Sprintf("c%d", i) {
+				t.Fatalf("n=%d: customer %d is %q", n, i, id)
+			}
+		}
+		for i, id := range es {
+			if id != fmt.Sprintf("e%d", i) {
+				t.Fatalf("n=%d: escrow %d is %q", n, i, id)
+			}
+		}
+	}
+}
+
+// TestTopologyViewsAreClipped checks that appending to a returned view
+// copies instead of overwriting the shared table behind it.
+func TestTopologyViewsAreClipped(t *testing.T) {
+	topo := NewTopology(2)
+	cs := append(topo.Customers(), "intruder")
+	es := append(topo.Escrows(), "intruder")
+	cs[0], es[0] = "x", "x"
+	if CustomerID(0) != "c0" || CustomerID(3) != "c3" || EscrowID(0) != "e0" || EscrowID(2) != "e2" {
+		t.Fatal("appending to a topology view wrote through to the shared ID table")
+	}
+	if got := topo.Participants(); len(got) != 5 || got[2] != "c2" || got[3] != "e0" {
+		t.Fatalf("participants %v", got)
+	}
+}
+
+// TestIDAllocs gates the table lookups: in-table IDs and topology views
+// cost no allocation.
+func TestIDAllocs(t *testing.T) {
+	topo := NewTopology(8)
+	var sink string
+	var views int
+	for name, fn := range map[string]func(){
+		"CustomerID": func() { sink = CustomerID(7) },
+		"EscrowID":   func() { sink = EscrowID(5) },
+		"NotaryID":   func() { sink = NotaryID(3) },
+		"Customers":  func() { views += len(topo.Customers()) },
+		"Escrows":    func() { views += len(topo.Escrows()) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", name, allocs)
+		}
+	}
+	_, _ = sink, views
 }
 
 func TestRoleOf(t *testing.T) {

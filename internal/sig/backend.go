@@ -2,8 +2,8 @@ package sig
 
 import (
 	"crypto/ed25519"
-	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -89,15 +89,47 @@ func (hmacBackend) GenerateKey(seed, id string) Key {
 }
 
 func (hmacBackend) Sign(k Key, payload []byte) Signature {
-	h := hmac.New(sha256.New, k.priv)
-	h.Write(payload)
-	return Signature(h.Sum(nil))
+	mac := hmacSHA256(k.priv, payload)
+	return append(Signature(nil), mac[:]...)
 }
 
 func (hmacBackend) Verify(k Key, payload []byte, sig Signature) bool {
-	h := hmac.New(sha256.New, k.pub)
-	h.Write(payload)
-	return hmac.Equal(h.Sum(nil), sig)
+	mac := hmacSHA256(k.pub, payload)
+	return subtle.ConstantTimeCompare(mac[:], sig) == 1
+}
+
+// hmacStackBuf bounds the inner-hash input hmacSHA256 builds on the stack:
+// the 64-byte padded key plus payloads up to 960 bytes, which covers every
+// artefact the protocols sign. Longer payloads take one heap buffer.
+const hmacStackBuf = 1024
+
+// hmacSHA256 computes RFC 2104 HMAC-SHA256 as two one-shot hashes,
+// H((K^opad) || H((K^ipad) || payload)), over stack buffers, so it
+// allocates nothing where hmac.New allocates its hash states and pads on
+// every call. Keys longer than the block are hashed first, as RFC 2104 says.
+func hmacSHA256(key, payload []byte) [sha256.Size]byte {
+	var k [sha256.BlockSize]byte
+	if len(key) > len(k) {
+		sum := sha256.Sum256(key)
+		copy(k[:], sum[:])
+	} else {
+		copy(k[:], key)
+	}
+	var buf [hmacStackBuf]byte
+	inner := buf[:0]
+	if n := len(k) + len(payload); n > len(buf) {
+		inner = make([]byte, 0, n)
+	}
+	for _, b := range k {
+		inner = append(inner, b^0x36)
+	}
+	innerSum := sha256.Sum256(append(inner, payload...))
+	var outer [sha256.BlockSize + sha256.Size]byte
+	for i, b := range k {
+		outer[i] = b ^ 0x5c
+	}
+	copy(outer[len(k):], innerSum[:])
+	return sha256.Sum256(outer[:])
 }
 
 // backends is the registry of available backends.

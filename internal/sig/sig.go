@@ -216,52 +216,53 @@ func (kr *Keyring) Verify(signer string, payload []byte, sig Signature) bool {
 // aggregates across keyrings).
 func (kr *Keyring) Stats() Stats { return kr.stats }
 
-// canonical builds a canonical byte encoding of a typed artefact. Fields are
-// length-prefixed so distinct field values can never collide. The output
-// buffer is sized exactly in a first pass (payload building runs per
-// artefact on the signing hot path), and only explicitly supported field
-// types encode: an unknown type panics rather than falling back to a
-// reflective formatting whose encoding could silently change.
-func canonical(kind string, fields ...any) []byte {
+// field is one field of a canonical encoding: a string, or (num) a 64-bit
+// integer. Typed fields leave nothing to box and no encoding to pick at run
+// time; str and num build them.
+type field struct {
+	s   string
+	u   uint64
+	num bool
+}
+
+// str is a string field (a string or a string-typed enum such as Decision).
+func str[T ~string](s T) field { return field{s: string(s)} }
+
+// num is an integer field (int64 or sim.Time), encoded as its 64-bit
+// two's-complement value.
+func num[T ~int64](v T) field { return field{u: uint64(v), num: true} }
+
+// canonical builds a canonical byte encoding of a typed artefact. Every
+// field is length-prefixed so distinct field values can never collide:
+// a string is its 8-byte big-endian length then its bytes, an integer the
+// length 8 then its 8 big-endian bytes. The output buffer is sized exactly
+// in a first pass, so building a payload is one allocation.
+func canonical(kind string, fields ...field) []byte {
 	size := 8 + len(kind)
 	for _, f := range fields {
-		switch v := f.(type) {
-		case string:
-			size += 8 + len(v)
-		case []byte:
-			size += 8 + len(v)
-		case int64, sim.Time:
+		if f.num {
 			size += 8 + 8
-		default:
-			panic(fmt.Sprintf("sig: canonical: unsupported field type %T", f))
+		} else {
+			size += 8 + len(f.s)
 		}
 	}
 	out := make([]byte, 0, size)
-	appendBytes := func(b []byte) {
-		var l [8]byte
-		binary.BigEndian.PutUint64(l[:], uint64(len(b)))
-		out = append(out, l[:]...)
-		out = append(out, b...)
-	}
-	appendUint64 := func(u uint64) {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], u)
-		appendBytes(b[:])
-	}
-	appendBytes([]byte(kind))
+	out = appendString(out, kind)
 	for _, f := range fields {
-		switch v := f.(type) {
-		case string:
-			appendBytes([]byte(v))
-		case int64:
-			appendUint64(uint64(v))
-		case sim.Time:
-			appendUint64(uint64(v))
-		case []byte:
-			appendBytes(v)
+		if f.num {
+			out = binary.BigEndian.AppendUint64(out, 8)
+			out = binary.BigEndian.AppendUint64(out, f.u)
+		} else {
+			out = appendString(out, f.s)
 		}
 	}
 	return out
+}
+
+// appendString appends s's length-prefixed encoding.
+func appendString(out []byte, s string) []byte {
+	out = binary.BigEndian.AppendUint64(out, uint64(len(s)))
+	return append(out, s...)
 }
 
 // PaymentCert is the certificate chi: a statement signed by Bob that Alice's
@@ -275,7 +276,7 @@ type PaymentCert struct {
 }
 
 func paymentCertPayload(c PaymentCert) []byte {
-	return canonical("chi", c.PaymentID, c.Issuer, c.Payer, c.IssuedAt)
+	return canonical("chi", str(c.PaymentID), str(c.Issuer), str(c.Payer), num(c.IssuedAt))
 }
 
 // NewPaymentCert builds and signs chi with issuer's key.
@@ -311,7 +312,7 @@ type Guarantee struct {
 }
 
 func guaranteePayload(g Guarantee) []byte {
-	return canonical("guarantee", g.PaymentID, g.Escrow, g.Customer, g.D, g.IssuedAt)
+	return canonical("guarantee", str(g.PaymentID), str(g.Escrow), str(g.Customer), num(g.D), num(g.IssuedAt))
 }
 
 // NewGuarantee builds and signs G(d).
@@ -345,7 +346,7 @@ type Promise struct {
 }
 
 func promisePayload(p Promise) []byte {
-	return canonical("promise", p.PaymentID, p.Escrow, p.Customer, p.A, p.Epsilon, p.IssuedAt)
+	return canonical("promise", str(p.PaymentID), str(p.Escrow), str(p.Customer), num(p.A), num(p.Epsilon), num(p.IssuedAt))
 }
 
 // NewPromise builds and signs P(a).
@@ -393,7 +394,7 @@ type DecisionCert struct {
 }
 
 func decisionPayload(c DecisionCert) []byte {
-	return canonical("decision", c.PaymentID, string(c.Decision), c.Manager, c.IssuedAt)
+	return canonical("decision", str(c.PaymentID), str(c.Decision), str(c.Manager), num(c.IssuedAt))
 }
 
 // NewDecisionCert creates a certificate signed by a single manager.
@@ -454,7 +455,7 @@ type Receipt struct {
 }
 
 func receiptPayload(r Receipt) []byte {
-	return canonical("receipt", r.PaymentID, r.Issuer, r.Subject, r.IssuedAt)
+	return canonical("receipt", str(r.PaymentID), str(r.Issuer), str(r.Subject), num(r.IssuedAt))
 }
 
 // NewReceipt builds and signs a receipt.

@@ -108,6 +108,7 @@ type Engine struct {
 	live    int      // pending events that are not canceled
 	seq     uint64
 	rng     *rand.Rand
+	src     lazySource // rng's source, seeded lazily (see rng.go)
 	stopped bool
 
 	// Stats
@@ -120,9 +121,13 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with virtual time 0 and a deterministic RNG
-// derived from seed.
+// derived from seed: Rand draws exactly what rand.New(rand.NewSource(seed))
+// would, without seeding a register up front (see rng.go).
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{}
+	e.src.Seed(seed)
+	e.rng = rand.New(&e.src)
+	return e
 }
 
 // Now returns the current virtual time.

@@ -1,8 +1,6 @@
 package timelock
 
 import (
-	"fmt"
-
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/ledger"
@@ -118,7 +116,7 @@ func (e *env) actionDelay(id string) sim.Time {
 // lockID returns the deterministic escrow-lock identifier used for the
 // payment on escrow e_i.
 func (e *env) lockID(i int) string {
-	return fmt.Sprintf("%s/%s", e.scn.Spec.PaymentID, core.EscrowID(i))
+	return e.scn.Spec.PaymentID + "/" + core.EscrowID(i)
 }
 
 // maxEvents returns the run's event cap.
@@ -157,7 +155,7 @@ func (e *env) collect(protocolName string, sources map[string]outcomeSource, eve
 	wealthAfter := e.book.SnapshotWealth()
 	allTerm := true
 	var lastTerm sim.Time
-	for idx, id := range topo.Customers() {
+	for _, id := range topo.Customers() {
 		out := core.CustomerOutcome{
 			ID:           id,
 			Role:         topo.RoleOf(id),
@@ -179,10 +177,9 @@ func (e *env) collect(protocolName string, sources map[string]outcomeSource, eve
 		if honest && !out.Terminated {
 			allTerm = false
 		}
-		_ = idx
 		res.Customers[id] = out
 	}
-	for i, id := range topo.Escrows() {
+	for _, id := range topo.Escrows() {
 		led := e.book.MustGet(id)
 		res.Escrows[id] = core.EscrowOutcome{
 			ID:           id,
@@ -190,7 +187,6 @@ func (e *env) collect(protocolName string, sources map[string]outcomeSource, eve
 			PendingLocks: len(led.PendingLocks()),
 			AuditErr:     led.Audit(),
 		}
-		_ = i
 	}
 	bob := res.Customers[topo.Bob()]
 	res.BobPaid = bob.Received > 0 || bob.NetWealthChange() > 0

@@ -334,6 +334,12 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 		}
 	}
 
+	// Every payment's sub-run shares the scenario's derived key seed (see
+	// subScenario). Deriving it once here, on a copy, spares each payment
+	// the formatting and leaves the fingerprinted scenario as given.
+	subBase := s
+	subBase.KeySeed = s.DerivedKeySeed()
+
 	var demand map[string]map[string]int64
 	var src paymentSource
 	if cfg.Stream {
@@ -343,14 +349,14 @@ func RunWith(s core.Scenario, w Workload, cfg Config) (*Result, error) {
 			// Resumed runs restore the already-endowed book instead.
 			demand = w.demand(s)
 		}
-		src = newStreamSource(s, w, plan, registry, cfg.workers(), rm, skip)
+		src = newStreamSource(subBase, w, plan, registry, cfg.workers(), rm, skip)
 	} else {
 		payments := w.generate(s)[skip:]
 		rm.Generated.Add(uint64(len(payments)))
 		if w.Liquidity <= 0 && resume == nil {
 			demand = demandOf(payments)
 		}
-		subs := simulatePayments(s, plan, payments, registry, cfg.workers(), rm)
+		subs := simulatePayments(subBase, plan, payments, registry, cfg.workers(), rm)
 		src = &sliceSource{pays: payments, subs: subs}
 	}
 	if ss, ok := src.(*streamSource); ok {

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -637,6 +638,48 @@ func TestCryptoBackendEquivalence(t *testing.T) {
 	}
 	if stream.String() != ref.String() {
 		t.Fatal("streamed hmac run differs from materialised ed25519 run")
+	}
+}
+
+// TestIDTablesIntactAfterRun guards the shared ID tables behind
+// core.CustomerID/EscrowID/NotaryID and the read-only Topology views: after
+// a concurrent run of every protocol family, including the notary
+// committee, every table entry must still read as its formatted ID.
+func TestIDTablesIntactAfterRun(t *testing.T) {
+	s := core.NewScenario(8, 11)
+	w := NewWorkload(400)
+	w.Arrival.Rate = 2000
+	w.RandomSubPaths = true
+	w = w.WithMix(
+		ProtocolShare{Name: "timelock", Weight: 0.3},
+		ProtocolShare{Name: "weaklive", Weight: 0.2},
+		ProtocolShare{Name: "weaklive-committee", Weight: 0.2},
+		ProtocolShare{Name: "htlc", Weight: 0.2},
+		ProtocolShare{Name: "timelock-naive", Weight: 0.1},
+	)
+	res, err := RunWith(s, w, Config{Workers: 2, Stream: true, Crypto: "hmac"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Total != 400 || res.AuditErr != nil {
+		t.Fatalf("run total %d, audit %v", res.Total, res.AuditErr)
+	}
+	// A topology past the tables' end spans every entry of both.
+	topo := core.NewTopology(4096)
+	for i, id := range topo.Customers() {
+		if want := fmt.Sprintf("c%d", i); id != want || core.CustomerID(i) != want {
+			t.Fatalf("customer table entry %d reads %q / %q, want %q", i, id, core.CustomerID(i), want)
+		}
+	}
+	for i, id := range topo.Escrows() {
+		if want := fmt.Sprintf("e%d", i); id != want || core.EscrowID(i) != want {
+			t.Fatalf("escrow table entry %d reads %q / %q, want %q", i, id, core.EscrowID(i), want)
+		}
+	}
+	for j := 0; j < 4096; j++ {
+		if got, want := core.NotaryID(j), fmt.Sprintf("notary%d", j); got != want {
+			t.Fatalf("notary table entry %d reads %q, want %q", j, got, want)
+		}
 	}
 }
 
